@@ -53,6 +53,12 @@ struct BatchPoint {
 /// The `results/bench_predict_batch.json` artefact.
 #[derive(Serialize)]
 struct BatchBenchReport {
+    /// Cores the host offered the run.
+    host_cores: usize,
+    /// Local ensemble shape, members × estimators per member.
+    ensemble: String,
+    /// Wire codec of every timed request.
+    codec: &'static str,
     warmup_observes: usize,
     probe_plans: usize,
     local_trained: bool,
@@ -246,7 +252,11 @@ fn run(args: &Args) -> Result<(), String> {
             .map(|p| p.per_prediction_us)
             .unwrap_or(f64::NAN)
     };
+    let ensemble = serving_stage_config().local.ensemble;
     let report = BatchBenchReport {
+        host_cores: std::thread::available_parallelism().map_or(1, usize::from),
+        ensemble: format!("{}x{}", ensemble.n_members, ensemble.member.n_estimators),
+        codec: "binary",
         warmup_observes: args.warmup,
         probe_plans: plans.len(),
         local_trained,

@@ -112,7 +112,7 @@ impl ExecTimeCache {
 
     /// Hash key of a plan (the stable hash of its 33-dim vector). Extracts
     /// the feature vector just to hash it — callers that already hold the
-    /// features (the batched predict path) should use
+    /// features (the predict, observe and batch paths) should use
     /// [`ExecTimeCache::key_of_features`] instead and hash once.
     pub fn key_of(plan: &PhysicalPlan) -> u64 {
         plan_feature_vector(plan).stable_hash()

@@ -29,6 +29,9 @@
 //!    `target_coverage`-quantile of recent scores instead of a
 //!    normal-theory constant, so if the ensemble's σ is over- or
 //!    under-confident the interval width self-corrects within one window.
+//!    A sorted mirror of the ring is kept in step on every push (one
+//!    binary-search eviction, one binary-search insertion), so reading the
+//!    quantile for a served interval costs O(1), not a sort of the window.
 //!
 //! Intervals are additionally widened by `degraded_widen` while any
 //! [`crate::stage::DegradedStats`] tier is active (a degraded answer was
@@ -45,7 +48,7 @@
 //! serve request path — everything here is panic-free by construction.
 
 use serde::{Deserialize, Serialize};
-use stage_metrics::quantile::quantile;
+use stage_metrics::quantile::quantile_of_sorted;
 use stage_metrics::{interval_coverage, Welford};
 use stage_store::{SectionReader, SectionWriter, StoreError};
 
@@ -136,8 +139,9 @@ pub struct DriftSentinel {
     // the next push overwrites once the ring is full).
     residuals: Vec<f64>,
     residual_next: u32,
-    // Conformal scores z = |r|/σ (same ring discipline).
-    scores: Vec<f64>,
+    // Conformal scores z = |r|/σ (same ring discipline, plus a sorted
+    // mirror for the quantile).
+    scores: ScoreWindow,
     score_next: u32,
     // Online coverage accounting: of the intervals this sentinel would
     // have served at observe time, how many contained the truth.
@@ -167,7 +171,7 @@ impl DriftSentinel {
             forced_retrains: 0,
             residuals: Vec::new(),
             residual_next: 0,
-            scores: Vec::new(),
+            scores: ScoreWindow::default(),
             score_next: 0,
             covered: 0,
             measured: 0,
@@ -214,7 +218,7 @@ impl DriftSentinel {
         if log_sigma.is_finite() && log_sigma > MIN_SIGMA {
             let z = r.abs() / log_sigma;
             if z.is_finite() {
-                push_ring(&mut self.scores, &mut self.score_next, cap, z);
+                self.scores.push(&mut self.score_next, cap, z);
             }
         }
         // One-sided CUSUM over |r|, normalized by the baseline the
@@ -241,7 +245,9 @@ impl DriftSentinel {
     /// the degraded widening when active.
     pub fn z_multiplier(&self) -> f64 {
         let base = if self.scores.len() >= self.config.min_scores as usize {
-            quantile(&self.scores, self.config.target_coverage).unwrap_or(self.config.fallback_z)
+            self.scores
+                .quantile(self.config.target_coverage)
+                .unwrap_or(self.config.fallback_z)
         } else {
             self.config.fallback_z
         };
@@ -364,7 +370,7 @@ impl DriftSentinel {
         w.put_u32(self.residual_next);
         w.put_u32(self.score_next);
         w.put_f64_slice(&self.residuals);
-        w.put_f64_slice(&self.scores);
+        w.put_f64_slice(&self.scores.ring);
     }
 
     /// Decodes a sentinel from its CALIBRATION section. Hostile-input
@@ -422,7 +428,7 @@ impl DriftSentinel {
             forced_retrains,
             residuals,
             residual_next,
-            scores,
+            scores: ScoreWindow::from_ring(scores),
             score_next,
             covered,
             measured,
@@ -432,18 +438,94 @@ impl DriftSentinel {
     }
 }
 
+/// What [`push_ring`] did with the pushed value.
+enum RingPush {
+    /// Nothing stored (zero capacity or a stale cursor).
+    Skipped,
+    /// The ring grew by one.
+    Appended,
+    /// The value overwrote this older one.
+    Replaced(f64),
+}
+
 /// Appends into a bounded ring: grow until `cap`, then overwrite the slot
 /// at `next` (the oldest element) and advance.
-fn push_ring(buf: &mut Vec<f64>, next: &mut u32, cap: u32, x: f64) {
+fn push_ring(buf: &mut Vec<f64>, next: &mut u32, cap: u32, x: f64) -> RingPush {
     if cap == 0 {
-        return;
+        return RingPush::Skipped;
     }
     if buf.len() < cap as usize {
         buf.push(x);
         *next = buf.len() as u32 % cap;
+        RingPush::Appended
     } else if let Some(slot) = buf.get_mut(*next as usize) {
-        *slot = x;
+        let old = std::mem::replace(slot, x);
         *next = (*next + 1) % cap;
+        RingPush::Replaced(old)
+    } else {
+        RingPush::Skipped
+    }
+}
+
+/// The conformal score ring plus a mirror of the same scores sorted under
+/// `f64::total_cmp`. Serializes as the bare ring, so snapshots and the
+/// CALIBRATION section keep their form; every restore rebuilds the mirror.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct ScoreWindow {
+    ring: Vec<f64>,
+    sorted: Vec<f64>,
+}
+
+impl ScoreWindow {
+    fn from_ring(ring: Vec<f64>) -> Self {
+        let mut sorted = ring.clone();
+        sorted.sort_by(f64::total_cmp);
+        Self { ring, sorted }
+    }
+
+    fn len(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// Pushes `z` into the ring and moves the mirror in step: the
+    /// overwritten score leaves and `z` enters, each by binary search.
+    fn push(&mut self, next: &mut u32, cap: u32, z: f64) {
+        match push_ring(&mut self.ring, next, cap, z) {
+            RingPush::Skipped => return,
+            RingPush::Appended => {}
+            RingPush::Replaced(old) => {
+                if let Ok(at) = self.sorted.binary_search_by(|p| p.total_cmp(&old)) {
+                    self.sorted.remove(at);
+                }
+            }
+        }
+        let at = self.sorted.partition_point(|p| p.total_cmp(&z).is_lt());
+        self.sorted.insert(at, z);
+    }
+
+    /// The `q`-quantile of the window: the same value, bit for bit, as
+    /// [`stage_metrics::quantile::quantile`] over the ring, including its
+    /// `None` for an empty window, a `q` outside `[0, 1]` or any NaN.
+    fn quantile(&self, q: f64) -> Option<f64> {
+        let (first, last) = (self.sorted.first()?, self.sorted.last()?);
+        // `total_cmp` orders negative NaNs first and positive NaNs last, so
+        // a NaN anywhere in the window sits at one of the ends.
+        if !(0.0..=1.0).contains(&q) || first.is_nan() || last.is_nan() {
+            return None;
+        }
+        Some(quantile_of_sorted(&self.sorted, q))
+    }
+}
+
+impl Serialize for ScoreWindow {
+    fn to_value(&self) -> serde::Value {
+        self.ring.to_value()
+    }
+}
+
+impl Deserialize for ScoreWindow {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Vec::<f64>::from_value(v).map(Self::from_ring)
     }
 }
 
@@ -480,6 +562,8 @@ impl serde::Deserialize for DriftSentinel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use stage_metrics::quantile::quantile;
 
     fn sharp() -> DriftConfig {
         DriftConfig {
@@ -702,5 +786,80 @@ mod tests {
         let v = serde::Serialize::to_value(&s);
         let back = DriftSentinel::from_value(&v).expect("round trip");
         assert_eq!(back, s);
+    }
+
+    /// The served z before the sorted mirror existed: a fresh sort of the
+    /// ring on every call.
+    fn reference_z(s: &DriftSentinel) -> f64 {
+        let c = s.config;
+        let base = if s.scores.len() >= c.min_scores as usize {
+            quantile(&s.scores.ring, c.target_coverage).unwrap_or(c.fallback_z)
+        } else {
+            c.fallback_z
+        };
+        base.max(MIN_Z)
+    }
+
+    fn restore_via_store(s: &DriftSentinel) -> DriftSentinel {
+        let mut w = SectionWriter::new();
+        s.store_encode(&mut w);
+        let bytes = w.finish();
+        DriftSentinel::store_decode(&mut SectionReader::new(&bytes)).expect("decode")
+    }
+
+    fn restore_via_serde(s: &DriftSentinel) -> DriftSentinel {
+        use serde::Deserialize;
+        DriftSentinel::from_value(&serde::Serialize::to_value(s)).expect("round trip")
+    }
+
+    /// A NaN can only enter the window through a restored artefact; like
+    /// the fresh sort, the mirror then serves the fallback multiplier.
+    #[test]
+    fn nan_in_restored_window_serves_fallback() {
+        let config = DriftConfig {
+            min_scores: 1,
+            ..sharp()
+        };
+        for nan in [f64::NAN, -f64::NAN] {
+            let mut s = DriftSentinel::new(config);
+            s.scores = ScoreWindow::from_ring(vec![0.5, nan, 2.0]);
+            assert_eq!(s.z_multiplier(), config.fallback_z);
+            assert_eq!(s.z_multiplier().to_bits(), reference_z(&s).to_bits());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Residuals come from a coarse grid so equal scores recur and the
+        /// binary-search eviction meets duplicates; σ sometimes falls below
+        /// `MIN_SIGMA`, which feeds the detector but forms no score.
+        #[test]
+        fn prop_sorted_window_matches_fresh_sort(
+            window in 1u32..24,
+            target in 0.0f64..=1.0,
+            steps in proptest::collection::vec((0u32..12, 0u32..4, 0u32..16), 1..160),
+            reset_at in 0usize..160,
+            restore_at in 0usize..160,
+        ) {
+            let config = DriftConfig { window, target_coverage: target, min_scores: 1, ..sharp() };
+            let mut s = DriftSentinel::new(config);
+            for (i, &(r, sigma, sign)) in steps.iter().enumerate() {
+                let log_sigma = [0.0, 0.1, 0.25, 0.5][sigma as usize % 4];
+                let r = if sign % 2 == 0 { 0.05 * r as f64 } else { -0.05 * r as f64 };
+                s.observe_residual(1.0, log_sigma, 1.0 + r);
+                if i == reset_at {
+                    s.reset_after_retrain();
+                }
+                if i == restore_at {
+                    let stored = restore_via_store(&s);
+                    let served = restore_via_serde(&s);
+                    prop_assert_eq!(&stored, &s);
+                    prop_assert_eq!(&served, &s);
+                    s = if i % 2 == 0 { stored } else { served };
+                }
+                prop_assert_eq!(s.z_multiplier().to_bits(), reference_z(&s).to_bits());
+            }
+        }
     }
 }

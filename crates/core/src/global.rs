@@ -347,11 +347,23 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "width mismatch")]
     fn wrong_sys_width_rejected() {
         let samples = vec![plan_to_tree_sample(&plan(1e4, 0), &sys(1.0), 1.0)];
         let model = GlobalModel::train(&samples, 2, &quick_config());
         model.predict(&plan(1e4, 0), &SystemContext::empty(5));
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn wrong_sys_width_pads_or_truncates() {
+        let samples = vec![plan_to_tree_sample(&plan(1e4, 0), &sys(1.0), 1.0)];
+        let model = GlobalModel::train(&samples, 2, &quick_config());
+        let at = |ctx: SystemContext| model.predict(&plan(1e4, 0), &ctx).to_bits();
+        let trained_width = at(SystemContext::empty(2));
+        assert_eq!(at(SystemContext::empty(5)), trained_width);
+        assert_eq!(at(SystemContext::empty(1)), trained_width);
     }
 
     #[test]

@@ -189,7 +189,7 @@ impl LocalModel {
 
     /// Predicts exec-time and uncertainty for a batch of feature vectors —
     /// bit-identical to calling [`LocalModel::predict`] per row, but one
-    /// pass over the ensemble's flat batched path. `None` until the first
+    /// tree-major pass over the ensemble. `None` until the first
     /// training (matching the scalar contract for every row at once).
     pub fn predict_batch<R: AsRef<[f64]>>(&self, features: &[R]) -> Option<Vec<LocalPrediction>> {
         let ensemble = self.ensemble.as_ref()?;
@@ -566,5 +566,44 @@ mod tests {
         let before = m.approx_size_bytes();
         m.retrain(&filled_pool(100, 4));
         assert!(m.approx_size_bytes() > before);
+    }
+
+    /// The store decode path reassembles every member from tree arrays; the
+    /// restored model's batched answers must match the original's bit for
+    /// bit, and its own scalar path.
+    #[test]
+    fn store_round_trip_keeps_batched_answers() {
+        let mut m = LocalModel::new(quick_config());
+        m.retrain(&filled_pool(300, 5));
+        let mut w = stage_store::SectionWriter::new();
+        m.store_encode(&mut w);
+        let bytes = w.finish();
+        let mut r = stage_store::SectionReader::new(&bytes);
+        let back = LocalModel::store_decode(&mut r).expect("decode");
+        r.expect_end().expect("fully consumed");
+        let rows: Vec<Vec<f64>> = (0..70).map(|i| vec![i as f64 * 1.5, 1.0]).collect();
+        let want = m.predict_batch(&rows).expect("trained");
+        let got = back.predict_batch(&rows).expect("trained");
+        assert_eq!(want.len(), got.len());
+        for ((row, a), b) in rows.iter().zip(&want).zip(&got) {
+            let scalar = back.predict(row).expect("trained");
+            for (x, y, z) in [
+                (a.log_mean, b.log_mean, scalar.log_mean),
+                (a.exec_secs, b.exec_secs, scalar.exec_secs),
+                (
+                    a.model_uncertainty,
+                    b.model_uncertainty,
+                    scalar.model_uncertainty,
+                ),
+                (
+                    a.data_uncertainty,
+                    b.data_uncertainty,
+                    scalar.data_uncertainty,
+                ),
+            ] {
+                assert_eq!(x.to_bits(), y.to_bits());
+                assert_eq!(y.to_bits(), z.to_bits());
+            }
+        }
     }
 }

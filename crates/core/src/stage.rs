@@ -409,14 +409,14 @@ impl StagePredictor {
 }
 
 impl StagePredictor {
-    /// The local model's input: the 33-dim plan vector, optionally extended
-    /// with the system-context features (§6.3 environment factors).
-    fn local_features(&self, plan: &PhysicalPlan, sys: &SystemContext) -> Vec<f64> {
-        let mut v = plan_feature_vector(plan).0;
+    /// The local model's input: the plan's already-extracted 33-dim vector,
+    /// optionally extended with the system-context features (§6.3
+    /// environment factors).
+    fn local_features(&self, mut plan_features: Vec<f64>, sys: &SystemContext) -> Vec<f64> {
         if self.config.env_features {
-            v.extend_from_slice(&sys.features);
+            plan_features.extend_from_slice(&sys.features);
         }
-        v
+        plan_features
     }
 
     /// Predicts a whole batch of plans under one `sys` context. Routing
@@ -424,12 +424,9 @@ impl StagePredictor {
     /// [`ExecTimePredictor::predict`] once per plan in order; the batch path
     /// just amortises the per-query overheads:
     ///
-    /// * each plan's 33-dim vector is extracted once and hashed once (the
-    ///   scalar path extracts it twice — for the cache key and again for the
-    ///   local-model input);
-    /// * all cache misses go through one flat-forest ensemble pass
+    /// * all cache misses go through one tree-major ensemble pass
     ///   ([`LocalModel::predict_batch`], bit-identical to per-row predict)
-    ///   instead of one arena traversal per query.
+    ///   instead of one full ensemble walk per query.
     pub fn predict_batch(
         &mut self,
         plans: &[PhysicalPlan],
@@ -440,17 +437,14 @@ impl StagePredictor {
         let mut miss_idx: Vec<usize> = Vec::new();
         let mut miss_features: Vec<Vec<f64>> = Vec::new();
         for plan in plans {
-            let mut features = plan_feature_vector(plan).0;
+            let features = plan_feature_vector(plan).0;
             let key = ExecTimeCache::key_of_features(&features);
             if let Some(secs) = self.cache.get_by_key(key) {
                 self.stats.cache += 1;
                 results.push(Some(Prediction::point(secs, PredictionSource::Cache)));
             } else {
-                if self.config.env_features {
-                    features.extend_from_slice(&sys.features);
-                }
                 miss_idx.push(results.len());
-                miss_features.push(features);
+                miss_features.push(self.local_features(features, sys));
                 results.push(None);
             }
         }
@@ -527,7 +521,10 @@ impl StagePredictor {
 
 impl ExecTimePredictor for StagePredictor {
     fn predict(&mut self, plan: &PhysicalPlan, sys: &SystemContext) -> Prediction {
-        let key = ExecTimeCache::key_of(plan);
+        // The plan's vector is extracted once: hashed for the cache key,
+        // then reused as the local model's input on a miss.
+        let plan_features = plan_feature_vector(plan).0;
+        let key = ExecTimeCache::key_of_features(&plan_features);
         // Stage 1: exact-match cache.
         if let Some(secs) = self.cache.lookup(key) {
             self.stats.cache += 1;
@@ -535,7 +532,7 @@ impl ExecTimePredictor for StagePredictor {
         }
         // Stage 2: local model (bypassed entirely when the fault oracle
         // declares the tier down — the failover is counted in the consult).
-        let features = self.local_features(plan, sys);
+        let features = self.local_features(plan_features, sys);
         let local_answer = if self.fault_local_unavailable() {
             None
         } else {
@@ -589,9 +586,10 @@ impl ExecTimePredictor for StagePredictor {
     }
 
     fn observe(&mut self, plan: &PhysicalPlan, sys: &SystemContext, actual_secs: f64) {
-        let key = ExecTimeCache::key_of(plan);
+        let plan_features = plan_feature_vector(plan).0;
+        let key = ExecTimeCache::key_of_features(&plan_features);
         let was_cached = self.cache.contains(key);
-        let features = self.local_features(plan, sys);
+        let features = self.local_features(plan_features, sys);
         // Drift sentinel: score the observation against the *current* local
         // model, before cache/pool/retrain absorb it — the residual then
         // measures what the shard would actually have mispredicted. Every

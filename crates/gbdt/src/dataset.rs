@@ -236,10 +236,23 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "dimension mismatch")]
     fn push_rejects_wrong_width() {
         let mut ds = Dataset::new(3);
         ds.push(&[1.0, 2.0], 0.0);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn push_truncates_or_pads_wrong_width() {
+        let mut ds = Dataset::new(3);
+        ds.push(&[1.0, 2.0], 0.5);
+        ds.push(&[3.0, 4.0, 5.0, 6.0], 1.5);
+        assert_eq!(ds.n_rows(), 2);
+        assert_eq!(ds.row(0), &[1.0, 2.0, 0.0]);
+        assert_eq!(ds.row(1), &[3.0, 4.0, 5.0]);
+        assert_eq!(ds.targets(), &[0.5, 1.5]);
     }
 
     #[test]

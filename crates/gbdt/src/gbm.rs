@@ -7,7 +7,6 @@
 //! fraction (the paper holds out 20%).
 
 use crate::dataset::{Binner, Dataset};
-use crate::flat::{FlatForest, Lazy};
 use crate::tree::{Tree, TreeParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -62,9 +61,6 @@ pub struct Gbm {
     learning_rate: f64,
     trees: Vec<Tree>,
     n_cols: usize,
-    /// Flat twin of `trees` for batched prediction. Derived state: filled at
-    /// the end of `fit`, rebuilt lazily after deserialization.
-    flat: Lazy<FlatForest>,
 }
 
 impl Gbm {
@@ -92,7 +88,6 @@ impl Gbm {
             learning_rate: params.learning_rate,
             trees: Vec::new(),
             n_cols: data.n_cols(),
-            flat: Lazy::new(),
         };
 
         let binner = Binner::fit(data, params.n_bins);
@@ -151,7 +146,6 @@ impl Gbm {
         if n_val > 0 && best_len > 0 {
             model.trees.truncate(best_len);
         }
-        model.flat = Lazy::filled(FlatForest::from_trees(&model.trees));
         Some(model)
     }
 
@@ -167,20 +161,16 @@ impl Gbm {
     }
 
     /// Predicts targets for a batch of rows — bit-identical to calling
-    /// [`Gbm::predict`] per row, but tree-major over the flat forest: the
-    /// shrinkage-weighted leaf values accumulate per tree in boosting order
-    /// (the same addition sequence as the scalar `sum()`), with the base
-    /// score added last.
+    /// [`Gbm::predict`] per row, but tree-major: each tree is walked for
+    /// every row before the next tree is touched, so its nodes stay in
+    /// cache. The shrinkage-weighted leaf values accumulate per tree in
+    /// boosting order (the same addition sequence as the scalar `sum()`),
+    /// with the base score added last.
     pub fn predict_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<f64> {
-        let flat = self
-            .flat
-            .get_or_init(|| FlatForest::from_trees(&self.trees));
         let mut acc = vec![0.0; rows.len()];
-        let mut tmp = vec![0.0; rows.len()];
-        for t in 0..flat.n_trees() {
-            flat.predict_tree_into(t, rows, &mut tmp);
-            for (a, v) in acc.iter_mut().zip(&tmp) {
-                *a += self.learning_rate * *v;
+        for tree in &self.trees {
+            for (a, row) in acc.iter_mut().zip(rows) {
+                *a += self.learning_rate * tree.predict(row.as_ref());
             }
         }
         acc.into_iter().map(|a| self.base + a).collect()

@@ -23,15 +23,18 @@
 //!   trained NGBoost members; prediction = mean of member means, total
 //!   uncertainty = variance of member means (model/knowledge uncertainty)
 //!   + mean of member variances (data uncertainty);
-//! * [`flat`] — structure-of-arrays flattened forests behind every model's
-//!   `predict_batch`: tree-major batch traversal, bit-identical to the
-//!   scalar arena path.
+//! * [`mixed`] — the Bayesian ensemble blended with a squared-error GBM;
+//! * [`quantile`] — pinball-loss GBMs for quantile-band intervals.
+//!
+//! Every model has one inference layout, the arena [`Tree`]. Scalar
+//! `predict` walks all trees for one row; `predict_batch` walks the same
+//! trees tree-major (each tree for every row of the batch, then the next
+//! tree), bit-identical to the scalar path.
 //!
 //! All training is deterministic given the seed.
 
 pub mod dataset;
 pub mod ensemble;
-pub mod flat;
 pub mod gbm;
 pub mod mixed;
 pub mod ngboost;
@@ -40,7 +43,6 @@ pub mod tree;
 
 pub use dataset::{BinnedDataset, Binner, Dataset};
 pub use ensemble::{BayesianEnsemble, EnsembleParams, EnsemblePrediction};
-pub use flat::{FlatForest, FlatForestView, FlatTree, FlatTreeView};
 pub use gbm::{Gbm, GbmParams};
 pub use mixed::{MixedEnsemble, MixedEnsembleParams};
 pub use ngboost::{NgBoost, NgBoostParams};

@@ -1,10 +1,11 @@
-//! Bit-identity of the flat batched inference path against scalar arena
+//! Bit-identity of the tree-major batched inference path against scalar
 //! traversal, across every model class the serving path uses.
 //!
-//! Flattening a forest must not change a single prediction: the serving
-//! layer routes on exact thresholds (`short_circuit_secs`, confidence
-//! bounds), so even 1-ulp drift between `predict` and `predict_batch` would
-//! make batch and scalar requests route differently. These property tests
+//! Walking the trees in a different loop order must not change a single
+//! prediction: the serving layer routes on exact thresholds
+//! (`short_circuit_secs`, confidence bounds), so even 1-ulp drift between
+//! `predict` and `predict_batch` would make batch and scalar requests route
+//! differently. These property tests
 //! fit real models on random datasets (deterministically seeded by the
 //! vendored proptest runner) and compare every float by its bit pattern.
 
@@ -13,7 +14,7 @@ use stage_gbdt::ensemble::{BayesianEnsemble, EnsembleParams};
 use stage_gbdt::gbm::{Gbm, GbmParams};
 use stage_gbdt::mixed::{MixedEnsemble, MixedEnsembleParams};
 use stage_gbdt::ngboost::{NgBoost, NgBoostParams};
-use stage_gbdt::Dataset;
+use stage_gbdt::{Dataset, Tree};
 
 /// Small-but-real hyper-parameters: enough rounds to grow several trees,
 /// subsampling on so member forests actually differ.
@@ -122,6 +123,42 @@ proptest! {
     }
 }
 
+/// Per-round clamping of the log variance: a hand-built model whose s-head
+/// overshoots the range on one side of a split and then swings back, so a
+/// batch path that clamped once at the end instead would diverge.
+#[test]
+fn ngboost_batch_keeps_the_per_round_clamp() {
+    let split = |left: f64, right: f64| {
+        Tree::from_flat_parts(
+            &[0, u32::MAX, u32::MAX],
+            &[0.0, left, right],
+            &[1, 0, 0],
+            &[2, 0, 0],
+            &[1.0, 0.0, 0.0],
+        )
+        .expect("valid tree arrays")
+    };
+    let model = NgBoost::from_parts(
+        0.5,
+        0.0,
+        1.0,
+        (-1.0, 1.0),
+        2,
+        vec![split(1.0, -1.0), Tree::constant(0.25)],
+        vec![split(3.0, -3.0), split(-2.5, 2.5)],
+    )
+    .expect("heads agree on length");
+    let rows: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64 - 4.0, 0.0]).collect();
+    let batch = model.predict_dist_batch(&rows);
+    for (row, got) in rows.iter().zip(&batch) {
+        let (mu, var) = model.predict_dist(row);
+        assert_eq!(mu.to_bits(), got.0.to_bits());
+        assert_eq!(var.to_bits(), got.1.to_bits());
+    }
+    // Clamped per round: 0 → +3 → 1 → −2.5 = −1.5 → −1 on the left side.
+    assert_eq!(batch[0].1, (-1.0f64).exp());
+}
+
 /// The mixed ensemble composes the two batched paths above; one seeded check
 /// of the blend formulas suffices on top of the member-level properties.
 #[test]
@@ -159,8 +196,8 @@ fn mixed_ensemble_batch_bit_identical() {
     }
 }
 
-/// A snapshot round-trip drops the flat cache (it serializes as `null`);
-/// the restored model must lazily rebuild it and still match bit-for-bit.
+/// A serde snapshot round trip must restore a model whose batched answers
+/// match the original's bit-for-bit.
 #[test]
 fn batch_identity_survives_serde_round_trip() {
     let triples: Vec<(f64, f64, f64)> = (0..120)
