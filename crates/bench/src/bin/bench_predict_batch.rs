@@ -18,7 +18,8 @@
 //! honestly rank batch against scalar) and prints
 //! `bench_predict_batch smoke OK`.
 //!
-//! The artefact lands in `results/bench_predict_batch.json`.
+//! The artefact lands in `results/bench_predict_batch.json`, stamped with
+//! the git revision it measured.
 
 use serde::Serialize;
 use stage_core::{LocalModelConfig, StageConfig};
@@ -53,6 +54,9 @@ struct BatchPoint {
 /// The `results/bench_predict_batch.json` artefact.
 #[derive(Serialize)]
 struct BatchBenchReport {
+    /// `git rev-parse HEAD` of the measured tree, suffixed `-dirty` when
+    /// the working tree differs from it.
+    git_revision: String,
     /// Cores the host offered the run.
     host_cores: usize,
     /// Local ensemble shape, members × estimators per member.
@@ -254,6 +258,7 @@ fn run(args: &Args) -> Result<(), String> {
     };
     let ensemble = serving_stage_config().local.ensemble;
     let report = BatchBenchReport {
+        git_revision: git_revision(),
         host_cores: std::thread::available_parallelism().map_or(1, usize::from),
         ensemble: format!("{}x{}", ensemble.n_members, ensemble.member.n_estimators),
         codec: "binary",
@@ -279,6 +284,28 @@ fn run(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("cannot write {}: {e}", args.out))?;
     println!("bench_predict_batch: wrote {}", args.out);
     Ok(())
+}
+
+/// The measured revision, or `unknown` outside a git checkout.
+fn git_revision() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+    };
+    let Some(head) = git(&["rev-parse", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    let head = String::from_utf8_lossy(&head.stdout).trim().to_string();
+    let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+        .is_some_and(|o| !o.stdout.is_empty());
+    if dirty {
+        format!("{head}-dirty")
+    } else {
+        head
+    }
 }
 
 fn shutdown(mut client: ServeClient, server: Server) -> Result<(), String> {

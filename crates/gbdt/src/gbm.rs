@@ -162,16 +162,14 @@ impl Gbm {
 
     /// Predicts targets for a batch of rows — bit-identical to calling
     /// [`Gbm::predict`] per row, but tree-major: each tree is walked for
-    /// every row before the next tree is touched, so its nodes stay in
-    /// cache. The shrinkage-weighted leaf values accumulate per tree in
-    /// boosting order (the same addition sequence as the scalar `sum()`),
-    /// with the base score added last.
+    /// every row (blocks of rows in lockstep) before the next tree is
+    /// touched, so its nodes stay in cache. The shrinkage-weighted leaf
+    /// values accumulate per tree in boosting order (the same addition
+    /// sequence as the scalar `sum()`), with the base score added last.
     pub fn predict_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<f64> {
         let mut acc = vec![0.0; rows.len()];
         for tree in &self.trees {
-            for (a, row) in acc.iter_mut().zip(rows) {
-                *a += self.learning_rate * tree.predict(row.as_ref());
-            }
+            tree.fold_leaves(rows, &mut acc, |a, w| *a += self.learning_rate * w);
         }
         acc.into_iter().map(|a| self.base + a).collect()
     }
@@ -204,7 +202,7 @@ impl Gbm {
 
     /// Rough in-memory size in bytes (for Fig. 9-style reporting).
     pub fn approx_size_bytes(&self) -> usize {
-        // Each node is ~24 bytes of payload in the arena representation.
+        // Each packed arena node is 24 bytes.
         std::mem::size_of::<Self>() + self.trees.iter().map(|t| t.n_nodes() * 24).sum::<usize>()
     }
 }

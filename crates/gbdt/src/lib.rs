@@ -26,10 +26,12 @@
 //! * [`mixed`] — the Bayesian ensemble blended with a squared-error GBM;
 //! * [`quantile`] — pinball-loss GBMs for quantile-band intervals.
 //!
-//! Every model has one inference layout, the arena [`Tree`]. Scalar
-//! `predict` walks all trees for one row; `predict_batch` walks the same
-//! trees tree-major (each tree for every row of the batch, then the next
-//! tree), bit-identical to the scalar path.
+//! Every model has one inference layout, the arena [`Tree`] of packed
+//! self-looping nodes, and one walk over it: a fixed number of branch-free
+//! steps per row. Scalar `predict` walks all trees for one row;
+//! `predict_batch` walks the same trees tree-major (each tree for every row
+//! of the batch, eight rows in lockstep, then the next tree), bit-identical
+//! to the scalar path.
 //!
 //! All training is deterministic given the seed.
 

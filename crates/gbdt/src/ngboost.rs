@@ -222,16 +222,13 @@ impl NgBoost {
     pub fn predict_dist_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<(f64, f64)> {
         let n = rows.len();
         let (lo, hi) = self.log_var_range;
+        let lr = self.learning_rate;
         let mut mu = vec![self.base_mu; n];
         let mut s = vec![self.base_log_var; n];
         // Scalar traversal zips the two heads, so rounds stop at the shorter.
         for (tm, ts) in self.mu_trees.iter().zip(&self.var_trees) {
-            for (m, row) in mu.iter_mut().zip(rows) {
-                *m += self.learning_rate * tm.predict(row.as_ref());
-            }
-            for (sv, row) in s.iter_mut().zip(rows) {
-                *sv = (*sv + self.learning_rate * ts.predict(row.as_ref())).clamp(lo, hi);
-            }
+            tm.fold_leaves(rows, &mut mu, |m, w| *m += lr * w);
+            ts.fold_leaves(rows, &mut s, |sv, w| *sv = (*sv + lr * w).clamp(lo, hi));
         }
         mu.into_iter().zip(s).map(|(m, sv)| (m, sv.exp())).collect()
     }

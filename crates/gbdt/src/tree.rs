@@ -12,7 +12,7 @@
 //! so prediction needs only the original (unbinned) feature vector.
 
 use crate::dataset::{BinnedDataset, Binner, Dataset};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// The five parallel arrays of [`Tree::to_flat_parts`]:
 /// `(feature, threshold, left, right, gain)`.
@@ -45,27 +45,138 @@ impl Default for TreeParams {
     }
 }
 
-/// Arena node: either a leaf weight or a split on `x[feature] <= threshold`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum Node {
+/// Rows a batched walk pushes through a tree in lockstep. Eight overlaps
+/// enough dependent node loads to hide their latency; four and sixteen
+/// were both measurably slower (DESIGN §9).
+const BLOCK: usize = 8;
+
+/// Packed arena node. A split sends a row left iff
+/// `x[feature] <= threshold`. A leaf's children point at itself and its
+/// weight sits in `threshold`, so a walk that has reached it stays put
+/// whatever it compares; `feature` is 0 there, a column any row that
+/// reached the leaf through a split has.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    threshold: f64,
+    feature: u32,
+    left: u32,
+    right: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 24);
+
+impl Node {
+    fn leaf(at: u32, weight: f64) -> Self {
+        Node {
+            threshold: weight,
+            feature: 0,
+            left: at,
+            right: at,
+        }
+    }
+
+    /// Children after their parent (`from_flat_parts` enforces it), so
+    /// only a leaf loops back to its own index.
+    fn is_leaf(&self, at: usize) -> bool {
+        self.left as usize == at
+    }
+}
+
+/// A trained regression tree: one arena of packed nodes, root first,
+/// children after their parent.
+#[derive(Debug, Clone)]
+pub struct Tree {
+    nodes: Vec<Node>,
+    /// Split gains parallel to `nodes` (0 at leaves), kept out of the
+    /// walked nodes because only feature importance reads them.
+    gains: Vec<f64>,
+    /// Longest root-to-leaf path; every walk takes exactly this many steps.
+    depth: usize,
+}
+
+/// The serde image of a node, an externally tagged enum, so JSON snapshots
+/// have the `{"nodes":[{"Split":…},{"Leaf":…}]}` shape existing artefacts
+/// use.
+#[derive(Serialize, Deserialize)]
+enum NodeImage {
     Leaf {
         weight: f64,
     },
     Split {
         feature: u32,
-        /// Go left iff `x[feature] <= threshold`.
         threshold: f64,
-        /// Gain realized by this split (for feature-importance accounting).
         gain: f64,
         left: u32,
         right: u32,
     },
 }
 
-/// A trained regression tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Tree {
-    nodes: Vec<Node>,
+#[derive(Serialize, Deserialize)]
+struct TreeImage {
+    nodes: Vec<NodeImage>,
+}
+
+impl Serialize for Tree {
+    fn to_value(&self) -> Value {
+        let nodes = self
+            .flat_nodes()
+            .map(|(feature, threshold, left, right, gain)| {
+                if feature == u32::MAX {
+                    NodeImage::Leaf { weight: threshold }
+                } else {
+                    NodeImage::Split {
+                        feature,
+                        threshold,
+                        gain,
+                        left,
+                        right,
+                    }
+                }
+            })
+            .collect();
+        TreeImage { nodes }.to_value()
+    }
+}
+
+impl Deserialize for Tree {
+    /// Restores through [`Tree::from_flat_parts`], so a JSON tree passes
+    /// the same structural check as a store-restored one.
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let image = TreeImage::from_value(v)?;
+        let (feature, threshold, left, right, gain) =
+            collect_parts(image.nodes.iter().map(|node| match *node {
+                NodeImage::Leaf { weight } => (u32::MAX, weight, 0, 0, 0.0),
+                NodeImage::Split {
+                    feature,
+                    threshold,
+                    gain,
+                    left,
+                    right,
+                } => (feature, threshold, left, right, gain),
+            }));
+        Tree::from_flat_parts(&feature, &threshold, &left, &right, &gain)
+            .ok_or_else(|| Error::custom("Tree: nodes do not form a tree"))
+    }
+}
+
+/// Unzips exported nodes into the five arrays of [`FlatParts`].
+fn collect_parts(nodes: impl ExactSizeIterator<Item = (u32, f64, u32, u32, f64)>) -> FlatParts {
+    let n = nodes.len();
+    let mut parts: FlatParts = (
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+    );
+    for (f, t, l, r, g) in nodes {
+        parts.0.push(f);
+        parts.1.push(t);
+        parts.2.push(l);
+        parts.3.push(r);
+        parts.4.push(g);
+    }
+    parts
 }
 
 impl Tree {
@@ -88,19 +199,27 @@ impl Tree {
         // lint:allow(no-panic): fit is gated on a non-empty dataset upstream (to_dataset returns None when empty)
         assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
         let _ = data; // kept in the signature for API symmetry with predict paths
-        let mut tree = Tree { nodes: Vec::new() };
+        let mut tree = Tree {
+            nodes: Vec::new(),
+            gains: Vec::new(),
+            depth: 0,
+        };
         let mut idx = indices.to_vec();
         let n = idx.len();
         tree.build(
             binned, binner, grads, hess, &mut idx, 0, n, 0, columns, params,
         );
+        tree.nodes.shrink_to_fit();
+        tree.gains.shrink_to_fit();
         tree
     }
 
     /// Creates a single-leaf tree with a constant output.
     pub fn constant(weight: f64) -> Self {
         Tree {
-            nodes: vec![Node::Leaf { weight }],
+            nodes: vec![Node::leaf(0, weight)],
+            gains: vec![0.0],
+            depth: 0,
         }
     }
 
@@ -113,7 +232,8 @@ impl Tree {
     pub fn n_leaves(&self) -> usize {
         self.nodes
             .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
+            .enumerate()
+            .filter(|(at, n)| n.is_leaf(*at))
             .count()
     }
 
@@ -123,11 +243,28 @@ impl Tree {
     /// # Panics
     /// Panics if a split references a feature outside `into`.
     pub fn accumulate_importance(&self, into: &mut [f64]) {
-        for node in &self.nodes {
-            if let Node::Split { feature, gain, .. } = node {
-                into[*feature as usize] += gain.max(0.0);
+        for (at, (node, gain)) in self.nodes.iter().zip(&self.gains).enumerate() {
+            if !node.is_leaf(at) {
+                into[node.feature as usize] += gain.max(0.0);
             }
         }
+    }
+
+    /// The nodes as `(feature, threshold, left, right, gain)` in the
+    /// exported form: leaves tagged `feature = u32::MAX` with zero children
+    /// and zero gain.
+    fn flat_nodes(&self) -> impl ExactSizeIterator<Item = (u32, f64, u32, u32, f64)> + '_ {
+        self.nodes
+            .iter()
+            .zip(&self.gains)
+            .enumerate()
+            .map(|(at, (n, &gain))| {
+                if n.is_leaf(at) {
+                    (u32::MAX, n.threshold, 0, 0, 0.0)
+                } else {
+                    (n.feature, n.threshold, n.left, n.right, gain)
+                }
+            })
     }
 
     /// Exports the arena as five parallel arrays for the artefact store:
@@ -136,45 +273,17 @@ impl Tree {
     /// zero children and zero gain. The inverse is
     /// [`Tree::from_flat_parts`]; a round trip is bit-exact.
     pub fn to_flat_parts(&self) -> FlatParts {
-        let n = self.nodes.len();
-        let mut feature = Vec::with_capacity(n);
-        let mut threshold = Vec::with_capacity(n);
-        let mut left = Vec::with_capacity(n);
-        let mut right = Vec::with_capacity(n);
-        let mut gain = Vec::with_capacity(n);
-        for node in &self.nodes {
-            match node {
-                Node::Leaf { weight } => {
-                    feature.push(u32::MAX);
-                    threshold.push(*weight);
-                    left.push(0);
-                    right.push(0);
-                    gain.push(0.0);
-                }
-                Node::Split {
-                    feature: f,
-                    threshold: t,
-                    gain: g,
-                    left: l,
-                    right: r,
-                } => {
-                    feature.push(*f);
-                    threshold.push(*t);
-                    left.push(*l);
-                    right.push(*r);
-                    gain.push(*g);
-                }
-            }
-        }
-        (feature, threshold, left, right, gain)
+        collect_parts(self.flat_nodes())
     }
 
     /// Rebuilds a tree from [`Tree::to_flat_parts`] arrays. Returns `None`
-    /// on malformed input — mismatched lengths, zero nodes, or a split
-    /// child index that is out of bounds or not strictly greater than its
-    /// parent (the arena is built depth-first, so children always follow
-    /// their parent; enforcing that makes `predict`'s unguarded traversal
-    /// provably terminating on restored trees).
+    /// on malformed input: mismatched lengths, zero nodes, a leaf with
+    /// nonzero children, a split child index that is out of bounds or not
+    /// strictly greater than its parent, or a non-root node without
+    /// exactly one parent. The arena is built depth-first, so children
+    /// always follow their parent; enforcing that, and one parent per
+    /// node, makes the input a tree whose depth is well defined, so the
+    /// fixed-depth walk ends on a leaf.
     pub fn from_flat_parts(
         feature: &[u32],
         threshold: &[f64],
@@ -183,57 +292,105 @@ impl Tree {
         gain: &[f64],
     ) -> Option<Self> {
         let n = feature.len();
-        if n == 0 || threshold.len() != n || left.len() != n || right.len() != n || gain.len() != n
+        if n == 0
+            || n > u32::MAX as usize
+            || threshold.len() != n
+            || left.len() != n
+            || right.len() != n
+            || gain.len() != n
         {
             return None;
         }
+        // Depth of each node once its parent has been seen; `None` until then.
+        let mut level: Vec<Option<usize>> = vec![None; n];
+        level[0] = Some(0);
         let mut nodes = Vec::with_capacity(n);
-        for i in 0..n {
-            if feature[i] == u32::MAX {
-                if left[i] != 0 || right[i] != 0 {
+        let mut gains = Vec::with_capacity(n);
+        let mut depth = 0;
+        for at in 0..n {
+            // Every parent precedes its child, so an unseen node is an orphan.
+            let d = level[at]?;
+            if feature[at] == u32::MAX {
+                if left[at] != 0 || right[at] != 0 {
                     return None;
                 }
-                nodes.push(Node::Leaf {
-                    weight: threshold[i],
-                });
+                nodes.push(Node::leaf(at as u32, threshold[at]));
+                gains.push(0.0);
+                depth = depth.max(d);
             } else {
-                let (l, r) = (left[i] as usize, right[i] as usize);
-                if l <= i || r <= i || l >= n || r >= n {
-                    return None;
+                for child in [left[at] as usize, right[at] as usize] {
+                    if child <= at || child >= n || level[child].is_some() {
+                        return None;
+                    }
+                    level[child] = Some(d + 1);
                 }
-                nodes.push(Node::Split {
-                    feature: feature[i],
-                    threshold: threshold[i],
-                    gain: gain[i],
-                    left: left[i],
-                    right: right[i],
+                nodes.push(Node {
+                    threshold: threshold[at],
+                    feature: feature[at],
+                    left: left[at],
+                    right: right[at],
                 });
+                gains.push(gain[at]);
             }
         }
-        Some(Tree { nodes })
+        Some(Tree {
+            nodes,
+            gains,
+            depth,
+        })
     }
 
     /// Predicts the leaf weight for a raw (unbinned) feature row.
     pub fn predict(&self, row: &[f64]) -> f64 {
-        let mut i = 0usize;
-        loop {
-            match &self.nodes[i] {
-                Node::Leaf { weight } => return *weight,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                    ..
-                } => {
-                    i = if row[*feature as usize] <= *threshold {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
-                }
+        let [weight] = self.walk([row]);
+        weight
+    }
+
+    /// Folds each row's leaf weight into its accumulator, in row order:
+    /// `fold(&mut acc[i], leaf(rows[i]))`. Blocks of [`BLOCK`] rows walk the
+    /// tree in lockstep; the tail walks one row at a time. Both run the one
+    /// kernel, so every row gets the same leaf as [`Tree::predict`].
+    pub(crate) fn fold_leaves<R: AsRef<[f64]>>(
+        &self,
+        rows: &[R],
+        acc: &mut [f64],
+        fold: impl Fn(&mut f64, f64),
+    ) {
+        debug_assert_eq!(rows.len(), acc.len());
+        let mut row_blocks = rows.chunks_exact(BLOCK);
+        let mut acc_blocks = acc.chunks_exact_mut(BLOCK);
+        for (block, out) in (&mut row_blocks).zip(&mut acc_blocks) {
+            let leaves: [f64; BLOCK] = self.walk(std::array::from_fn(|k| block[k].as_ref()));
+            for (a, weight) in out.iter_mut().zip(leaves) {
+                fold(a, weight);
             }
         }
+        for (row, a) in row_blocks
+            .remainder()
+            .iter()
+            .zip(acc_blocks.into_remainder())
+        {
+            fold(a, self.predict(row.as_ref()));
+        }
+    }
+
+    /// The traversal kernel: `B` rows take exactly `depth` branch-free steps
+    /// each, interleaved so their dependent node loads overlap. A row whose
+    /// leaf is shallower than `depth` self-loops on it for the spare steps.
+    /// NaN compares false, so it goes right, as in any `<=` walk.
+    fn walk<const B: usize>(&self, rows: [&[f64]; B]) -> [f64; B] {
+        let mut at = [0u32; B];
+        for _ in 0..self.depth {
+            for (i, row) in at.iter_mut().zip(rows) {
+                let node = self.nodes[*i as usize];
+                *i = if row[node.feature as usize] <= node.threshold {
+                    node.left
+                } else {
+                    node.right
+                };
+            }
+        }
+        at.map(|i| self.nodes[i as usize].threshold)
     }
 
     /// Recursively builds the subtree over `idx[start..end]`, returning the
@@ -258,10 +415,11 @@ impl Tree {
         let leaf_weight = -g_sum / (h_sum + params.lambda);
 
         let make_leaf = |tree: &mut Tree| -> u32 {
-            tree.nodes.push(Node::Leaf {
-                weight: leaf_weight,
-            });
-            (tree.nodes.len() - 1) as u32
+            let at = tree.nodes.len() as u32;
+            tree.nodes.push(Node::leaf(at, leaf_weight));
+            tree.gains.push(0.0);
+            tree.depth = tree.depth.max(depth);
+            at
         };
 
         if depth >= params.max_depth
@@ -342,13 +500,13 @@ impl Tree {
         let threshold = binner.cuts(feature)[bin as usize];
         let node_pos = self.nodes.len();
         // Placeholder; children indices patched after recursion.
-        self.nodes.push(Node::Split {
-            feature: feature as u32,
+        self.nodes.push(Node {
             threshold,
-            gain,
+            feature: feature as u32,
             left: 0,
             right: 0,
         });
+        self.gains.push(gain);
         let left = self.build(
             binned,
             binner,
@@ -373,13 +531,9 @@ impl Tree {
             columns,
             params,
         );
-        if let Node::Split {
-            left: l, right: r, ..
-        } = &mut self.nodes[node_pos]
-        {
-            *l = left;
-            *r = right;
-        }
+        let node = &mut self.nodes[node_pos];
+        node.left = left;
+        node.right = right;
         node_pos as u32
     }
 }
@@ -572,6 +726,46 @@ mod tests {
         .is_none());
         // Leaf with nonzero children.
         assert!(Tree::from_flat_parts(&[u32::MAX], &[1.0], &[1], &[0], &[0.0]).is_none());
+        // Node 2 has two parents (0 and 1).
+        let leaf = u32::MAX;
+        assert!(Tree::from_flat_parts(
+            &[0, 0, leaf, leaf],
+            &[1.0, 1.0, 2.0, 3.0],
+            &[1, 2, 0, 0],
+            &[2, 3, 0, 0],
+            &[0.5, 0.5, 0.0, 0.0]
+        )
+        .is_none());
+        // Node 3 has no parent.
+        assert!(Tree::from_flat_parts(
+            &[0, leaf, leaf, leaf],
+            &[1.0, 1.0, 2.0, 3.0],
+            &[1, 0, 0, 0],
+            &[2, 0, 0, 0],
+            &[0.5, 0.0, 0.0, 0.0]
+        )
+        .is_none());
+    }
+
+    #[test]
+    fn depth_is_the_longest_root_to_leaf_path() {
+        // A ramp over 32 bins wants every split a depth cap up to 5 allows.
+        let rows: Vec<Vec<f64>> = (0..256).map(|i| vec![i as f64]).collect();
+        let targets: Vec<f64> = (0..256).map(|i| i as f64).collect();
+        let data = Dataset::from_rows(&rows, &targets);
+        for max_depth in [0usize, 1, 2, 3, 4] {
+            let params = TreeParams {
+                max_depth,
+                ..Default::default()
+            };
+            let tree = fit_on_targets(&data, &params);
+            assert_eq!(tree.depth, max_depth);
+            assert_eq!(tree.nodes.capacity(), tree.nodes.len());
+            let (f, t, l, r, g) = tree.to_flat_parts();
+            let back = Tree::from_flat_parts(&f, &t, &l, &r, &g).unwrap();
+            assert_eq!(back.depth, tree.depth);
+        }
+        assert_eq!(Tree::constant(1.0).depth, 0);
     }
 
     proptest! {

@@ -8,6 +8,10 @@
 //! differently. These property tests
 //! fit real models on random datasets (deterministically seeded by the
 //! vendored proptest runner) and compare every float by its bit pattern.
+//!
+//! The kernel edge cases at the end check both paths against a reference
+//! walker over the exported flat arrays, which shares no code with the
+//! fixed-depth lockstep kernel.
 
 use proptest::prelude::*;
 use stage_gbdt::ensemble::{BayesianEnsemble, EnsembleParams};
@@ -221,4 +225,278 @@ fn batch_identity_survives_serde_round_trip() {
         assert_eq!(a.model_uncertainty.to_bits(), b.model_uncertainty.to_bits());
         assert_eq!(a.data_uncertainty.to_bits(), b.data_uncertainty.to_bits());
     }
+}
+
+/// Reference leaf lookup over the five exported arrays: follow children
+/// until the leaf tag, comparing with `<=` (so NaN goes right).
+fn reference_leaf(tree: &Tree, row: &[f64]) -> f64 {
+    let (feature, threshold, left, right, _) = tree.to_flat_parts();
+    let mut at = 0usize;
+    while feature[at] != u32::MAX {
+        at = if row[feature[at] as usize] <= threshold[at] {
+            left[at]
+        } else {
+            right[at]
+        } as usize;
+    }
+    threshold[at]
+}
+
+/// `NgBoost::predict_dist` spelled out over [`reference_leaf`].
+fn reference_dist(model: &NgBoost, row: &[f64]) -> (f64, f64) {
+    let (base_mu, base_log_var, lr, (lo, hi), _) = model.scalar_parts();
+    let mut mu = base_mu;
+    let mut s = base_log_var;
+    for (tm, ts) in model.mu_trees().iter().zip(model.var_trees()) {
+        mu += lr * reference_leaf(tm, row);
+        s = (s + lr * reference_leaf(ts, row)).clamp(lo, hi);
+    }
+    (mu, s.exp())
+}
+
+/// A hand-built right spine: leaves at every depth from 1 to 6, cuts at
+/// `0`, `-0`, `±inf` and ordinary values, on two features.
+fn unbalanced_tree(weights: [f64; 7]) -> Tree {
+    let leaf = u32::MAX;
+    Tree::from_flat_parts(
+        &[0, leaf, 1, leaf, 0, leaf, 1, leaf, 0, leaf, 1, leaf, leaf],
+        &[
+            0.0,
+            weights[0],
+            1.0,
+            weights[1],
+            f64::INFINITY,
+            weights[2],
+            -0.0,
+            weights[3],
+            2.5,
+            weights[4],
+            f64::NEG_INFINITY,
+            weights[5],
+            weights[6],
+        ],
+        &[1, 0, 3, 0, 5, 0, 7, 0, 9, 0, 11, 0, 0],
+        &[2, 0, 4, 0, 6, 0, 8, 0, 10, 0, 12, 0, 0],
+        &[1.0; 13],
+    )
+    .expect("valid tree arrays")
+}
+
+/// Values that sit on or next to every cut above, plus the IEEE specials.
+fn edge_values(cuts: &[f64]) -> Vec<f64> {
+    let mut values = vec![
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+    ];
+    for &c in cuts {
+        values.push(c);
+        if c.is_finite() {
+            values.push(c.next_up());
+            values.push(c.next_down());
+        }
+    }
+    values
+}
+
+/// Every pair of edge values as a two-column row, cycled to `len` rows.
+fn edge_rows(values: &[f64], len: usize) -> Vec<Vec<f64>> {
+    let pairs: Vec<Vec<f64>> = values
+        .iter()
+        .flat_map(|&a| values.iter().map(move |&b| vec![a, b]))
+        .collect();
+    pairs.iter().cycle().take(len).cloned().collect()
+}
+
+/// Batch lengths around the lockstep block of eight: empty, tail only,
+/// exact blocks, and blocks plus a tail.
+const BATCH_LENGTHS: [usize; 8] = [0, 1, 7, 8, 9, 63, 64, 65];
+
+fn assert_model_matches_reference(model: &NgBoost, values: &[f64]) {
+    for len in BATCH_LENGTHS {
+        // Offset the cycle per length so each block sees different rows.
+        let mut rows = edge_rows(values, len + 3 * len);
+        rows.drain(..3 * len);
+        let batch = model.predict_dist_batch(&rows);
+        assert_eq!(batch.len(), len);
+        for (row, got) in rows.iter().zip(&batch) {
+            let (mu, var) = reference_dist(model, row);
+            let scalar = model.predict_dist(row);
+            assert_eq!(
+                mu.to_bits(),
+                got.0.to_bits(),
+                "batch mu, len {len}, row {row:?}"
+            );
+            assert_eq!(
+                var.to_bits(),
+                got.1.to_bits(),
+                "batch var, len {len}, row {row:?}"
+            );
+            assert_eq!(mu.to_bits(), scalar.0.to_bits(), "scalar mu, row {row:?}");
+            assert_eq!(var.to_bits(), scalar.1.to_bits(), "scalar var, row {row:?}");
+        }
+    }
+}
+
+#[test]
+fn unbalanced_tree_matches_reference_at_every_edge() {
+    let deep = unbalanced_tree([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+    let values = edge_values(&[0.0, 1.0, 2.5]);
+    for row in edge_rows(&values, values.len() * values.len()) {
+        assert_eq!(
+            deep.predict(&row).to_bits(),
+            reference_leaf(&deep, &row).to_bits(),
+            "row {row:?}"
+        );
+    }
+    // NaN fails every `<=`, so it runs down the right spine to depth 6.
+    assert_eq!(deep.predict(&[f64::NAN, f64::NAN]), 7.0);
+    // Depth 1: the shallowest leaf self-loops for five spare steps.
+    assert_eq!(deep.predict(&[-0.0, f64::NAN]), 1.0);
+
+    let model = NgBoost::from_parts(
+        0.0,
+        0.0,
+        1.0,
+        (-4.0, 4.0),
+        2,
+        vec![
+            unbalanced_tree([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
+            Tree::constant(-0.0),
+            unbalanced_tree([0.5, -0.5, 0.25, -0.25, 0.125, -0.125, 0.0]),
+        ],
+        vec![
+            unbalanced_tree([3.0, -3.0, 2.0, -2.0, 1.0, -1.0, 5.0]),
+            Tree::constant(0.0),
+            unbalanced_tree([-5.0, 5.0, -1.5, 1.5, -0.5, 0.5, -6.0]),
+        ],
+    )
+    .expect("heads agree on length");
+    assert_model_matches_reference(&model, &values);
+}
+
+#[test]
+fn fitted_model_matches_reference_at_its_own_cuts() {
+    let triples: Vec<(f64, f64, f64)> = (0..160)
+        .map(|i| {
+            let x0 = (i % 13) as f64 - 6.0;
+            let x1 = ((i * 7) % 9) as f64 * 0.5;
+            (x0, x1, x0 * x0 - 2.0 * x1)
+        })
+        .collect();
+    let model = NgBoost::fit(&dataset(&triples), &ngboost_params(3)).expect("non-empty dataset");
+    let mut cuts: Vec<f64> = model
+        .mu_trees()
+        .iter()
+        .chain(model.var_trees())
+        .flat_map(|t| {
+            let (feature, threshold, ..) = t.to_flat_parts();
+            feature
+                .into_iter()
+                .zip(threshold)
+                .filter(|(f, _)| *f != u32::MAX)
+                .map(|(_, t)| t)
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    cuts.sort_by(f64::total_cmp);
+    cuts.dedup();
+    assert!(cuts.len() > 2, "the model should split");
+    assert_model_matches_reference(&model, &edge_values(&cuts));
+
+    let gbm = Gbm::fit(&dataset(&triples), &gbm_params(3)).expect("non-empty dataset");
+    for len in BATCH_LENGTHS {
+        let rows = edge_rows(&edge_values(&cuts), len);
+        let batch = gbm.predict_batch(&rows);
+        assert_eq!(batch.len(), len);
+        for (row, got) in rows.iter().zip(&batch) {
+            assert_eq!(gbm.predict(row).to_bits(), got.to_bits(), "row {row:?}");
+        }
+    }
+}
+
+/// A tree serialized in the enum-node JSON shape loads, predicts the same
+/// bits as the reference walker, and serializes back to the same text.
+#[test]
+fn enum_shaped_json_tree_still_loads() {
+    let json = concat!(
+        r#"{"nodes":["#,
+        r#"{"Split":{"feature":1,"threshold":0.5,"gain":2.0,"left":1,"right":2}},"#,
+        r#"{"Leaf":{"weight":-1.25}},"#,
+        r#"{"Split":{"feature":0,"threshold":-3.0,"gain":0.75,"left":3,"right":4}},"#,
+        r#"{"Leaf":{"weight":3.5}},"#,
+        r#"{"Leaf":{"weight":-0.0}}"#,
+        r#"]}"#
+    );
+    let tree: Tree = serde_json::from_str(json).expect("enum-shaped tree");
+    assert_eq!(tree.n_nodes(), 5);
+    assert_eq!(tree.n_leaves(), 3);
+    let expected = |x0: f64, x1: f64| -> f64 {
+        if x1 <= 0.5 {
+            -1.25
+        } else if x0 <= -3.0 {
+            3.5
+        } else {
+            -0.0
+        }
+    };
+    for x1 in [0.5, 0.6, 0.0, -0.0, f64::NAN] {
+        for x0 in [-3.0, -2.0, f64::NEG_INFINITY, f64::NAN] {
+            let row = [x0, x1];
+            let got = tree.predict(&row);
+            assert_eq!(got.to_bits(), reference_leaf(&tree, &row).to_bits());
+            assert_eq!(got.to_bits(), expected(x0, x1).to_bits(), "row {row:?}");
+        }
+    }
+    let mut importance = [0.0; 2];
+    tree.accumulate_importance(&mut importance);
+    assert_eq!(importance, [0.75, 2.0]);
+    assert_eq!(serde_json::to_string(&tree).expect("serialize"), json);
+}
+
+#[test]
+fn malformed_json_trees_are_rejected() {
+    let split = |l: u32, r: u32| {
+        format!(r#"{{"Split":{{"feature":0,"threshold":1.0,"gain":1.0,"left":{l},"right":{r}}}}}"#)
+    };
+    let leaf = r#"{"Leaf":{"weight":1.0}}"#.to_string();
+    let cases: Vec<(&str, Vec<String>)> = vec![
+        ("no nodes", vec![]),
+        ("child out of bounds", vec![split(1, 9), leaf.clone()]),
+        (
+            "child before parent",
+            vec![split(1, 2), split(0, 2), leaf.clone()],
+        ),
+        ("self loop", vec![split(0, 1), leaf.clone()]),
+        ("both children the same", vec![split(1, 1), leaf.clone()]),
+        (
+            "two parents",
+            vec![split(1, 2), split(2, 3), leaf.clone(), leaf.clone()],
+        ),
+        (
+            "orphan",
+            vec![split(1, 2), leaf.clone(), leaf.clone(), leaf.clone()],
+        ),
+        ("orphan leaf", vec![leaf.clone(), leaf.clone()]),
+    ];
+    for (why, nodes) in cases {
+        let json = format!(r#"{{"nodes":[{}]}}"#, nodes.join(","));
+        assert!(
+            serde_json::from_str::<Tree>(&json).is_err(),
+            "{why}: {json} should not load"
+        );
+    }
+    // The error reaches the models that own trees.
+    let gbm = |node: &str| {
+        format!(r#"{{"base":0.0,"learning_rate":0.1,"trees":[{{"nodes":[{node}]}}],"n_cols":1}}"#)
+    };
+    assert!(serde_json::from_str::<Gbm>(&gbm(&leaf)).is_ok());
+    assert!(serde_json::from_str::<Gbm>(&gbm(&split(0, 1))).is_err());
 }

@@ -33,6 +33,11 @@ git checkout -q -- results/bench_lint.json 2>/dev/null || true
 
 cargo test -q --workspace
 
+# Batch-vs-scalar bit identity under the optimiser that serves it: debug
+# `cargo test` never builds the release code of the branch-free lockstep
+# tree walk, and float identity has to hold for that code.
+cargo test -q --release -p stage-gbdt --test batch_identity
+
 # Serving smoke test: boot stage-serve on an ephemeral port, run one
 # predict→observe→predict round-trip, drain, and stop. Bounded so a hung
 # accept loop can never wedge CI.
