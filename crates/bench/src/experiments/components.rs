@@ -149,11 +149,8 @@ pub fn tab6(ctx: &ExperimentContext, data: &Collected) -> ExperimentReport {
         |r| {
             !r.is_cache_hit()
                 && r.local_secs
-                    .map(|s| s >= routing.short_circuit_secs)
-                    .unwrap_or(false)
-                && r.local_log_std
-                    .map(|s| s > routing.confident_log_std)
-                    .unwrap_or(false)
+                    .zip(r.local_log_std)
+                    .is_some_and(|(secs, log_std)| routing.escalates(secs, log_std))
         },
         |r, _| r.global_secs,
         |r, _| r.local_secs,

@@ -39,6 +39,13 @@ use serde::{Deserialize, Serialize};
 use stage_plan::{plan_feature_vector, PhysicalPlan};
 use std::sync::Arc;
 
+/// The cold-start answer: no tier had information about the plan.
+const COLD_DEFAULT: Prediction = Prediction {
+    exec_secs: DEFAULT_PREDICTION_SECS,
+    log_variance: None,
+    source: PredictionSource::Default,
+};
+
 /// Escalation policy from the local to the global model.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct RoutingConfig {
@@ -62,6 +69,17 @@ impl Default for RoutingConfig {
             confident_log_std: 1.0,
             dedup_via_cache: true,
         }
+    }
+}
+
+impl RoutingConfig {
+    /// Whether a local answer of `exec_secs` with log-space std `log_std`
+    /// wants the global model: it is neither short nor confident. A NaN on
+    /// either side is neither, so it escalates.
+    pub fn escalates(&self, exec_secs: f64, log_std: f64) -> bool {
+        let short = exec_secs < self.short_circuit_secs;
+        let confident = log_std <= self.confident_log_std;
+        !short && !confident
     }
 }
 
@@ -160,8 +178,9 @@ pub struct DegradedStats {
     /// Predictions that wanted the global model but found it unavailable
     /// (served by the local tier or the default instead).
     pub global_failover: u64,
-    /// Predictions (scalar) or batches that found the local model
-    /// unavailable (served by the global tier or the default instead).
+    /// Requests with at least one cache miss that found the local model
+    /// unavailable (their misses were served by the global tier or the
+    /// default instead). A scalar prediction is a request of one.
     pub local_failover: u64,
     /// Due retrains skipped because the training was poisoned; the stale
     /// ensemble kept serving.
@@ -279,8 +298,9 @@ impl StagePredictor {
     /// model + routing counters) as one artefact. Pair with
     /// [`StagePredictor::from_snapshot`] to checkpoint/restore a warm
     /// predictor across process restarts (no cold-start, Fig. 9
-    /// discussion); `crate::persist::save_stage`/`load_stage` wrap it in
-    /// the versioned on-disk envelope.
+    /// discussion). Serving checkpoints go through
+    /// `crate::storefmt::save_stage_store`/`load_stage_store`, the
+    /// sectioned on-disk store.
     pub fn snapshot(&self) -> StageSnapshot {
         StageSnapshot {
             config: self.config,
@@ -419,170 +439,100 @@ impl StagePredictor {
         plan_features
     }
 
-    /// Predicts a whole batch of plans under one `sys` context. Routing
-    /// decisions, predictions, and every counter are identical to calling
-    /// [`ExecTimePredictor::predict`] once per plan in order; the batch path
-    /// just amortises the per-query overheads:
+    /// The routing ladder (paper §4.1, Fig. 4) over a batch of plans under
+    /// one `sys` context; scalar [`ExecTimePredictor::predict`] is a batch
+    /// of one. Per plan: the exact-match cache first, then the local model,
+    /// which answers when its prediction is short or confident, then the
+    /// global model for long and uncertain answers (and for every miss
+    /// while the local model is untrained or failed over), else the
+    /// cold-start default.
     ///
-    /// * all cache misses go through one tree-major ensemble pass
-    ///   ([`LocalModel::predict_batch`], bit-identical to per-row predict)
-    ///   instead of one full ensemble walk per query.
+    /// All cache misses share one tree-major ensemble pass
+    /// ([`LocalModel::predict_batch`], bit-identical to per-row predict).
+    /// The fault oracle is consulted once for the local tier per request
+    /// with at least one miss, and once for the global tier per would-be
+    /// escalation.
     pub fn predict_batch(
         &mut self,
         plans: &[PhysicalPlan],
         sys: &SystemContext,
     ) -> Vec<Prediction> {
-        // Pass 1: extract + hash once per plan, probe the cache.
-        let mut results: Vec<Option<Prediction>> = Vec::with_capacity(plans.len());
+        let mut answers = vec![COLD_DEFAULT; plans.len()];
+        self.route(plans, sys, &mut answers);
+        answers
+    }
+
+    /// The ladder itself: writes the answer for `plans[i]` into
+    /// `answers[i]`, which arrive holding the cold-start default.
+    fn route(&mut self, plans: &[PhysicalPlan], sys: &SystemContext, answers: &mut [Prediction]) {
+        // Stage 1: exact-match cache. The plan's vector is extracted once:
+        // hashed for the key, then kept as the local model's input on a miss.
         let mut miss_idx: Vec<usize> = Vec::new();
         let mut miss_features: Vec<Vec<f64>> = Vec::new();
-        for plan in plans {
+        for (i, (plan, slot)) in plans.iter().zip(answers.iter_mut()).enumerate() {
             let features = plan_feature_vector(plan).0;
             let key = ExecTimeCache::key_of_features(&features);
             if let Some(secs) = self.cache.get_by_key(key) {
                 self.stats.cache += 1;
-                results.push(Some(Prediction::point(secs, PredictionSource::Cache)));
+                *slot = Prediction::point(secs, PredictionSource::Cache);
             } else {
-                miss_idx.push(results.len());
+                miss_idx.push(i);
                 miss_features.push(self.local_features(features, sys));
-                results.push(None);
             }
         }
-        // Pass 2: one batched local-model call covers every miss. The fault
-        // oracle is consulted once per batch that would use the local tier
-        // (an all-hit batch never touches it), keeping the ledger exact.
+        // Stage 2: one local-model call covers every miss, unless the fault
+        // oracle declares the tier down (the failover is counted in the
+        // consult). `None` while untrained.
         let local_preds = if miss_idx.is_empty() || self.fault_local_unavailable() {
             None
         } else {
             self.local.predict_batch(&miss_features)
         };
-        match local_preds {
-            Some(local_preds) => {
-                for (&i, lp) in miss_idx.iter().zip(&local_preds) {
-                    let short = lp.exec_secs < self.config.routing.short_circuit_secs;
-                    let confident = lp.log_std() <= self.config.routing.confident_log_std;
-                    let escalate = !short
-                        && !confident
-                        && self.global.is_some()
-                        && !self.fault_global_unavailable();
-                    let p = match (escalate, &self.global, plans.get(i)) {
-                        (true, Some(global), Some(plan)) => {
-                            self.stats.global += 1;
-                            Prediction::point(global.predict(plan, sys), PredictionSource::Global)
-                        }
-                        _ => {
-                            self.stats.local += 1;
-                            Prediction {
-                                exec_secs: lp.exec_secs,
-                                log_variance: Some(lp.total_variance()),
-                                source: PredictionSource::Local,
-                            }
-                        }
-                    };
-                    if let Some(slot) = results.get_mut(i) {
-                        *slot = Some(p);
+        let mut local_preds = local_preds.map(Vec::into_iter);
+        for &i in &miss_idx {
+            let local = local_preds.as_mut().and_then(Iterator::next);
+            // Stage 3: the global model, for long + uncertain local answers
+            // and for cold start or local failover — unless it is detached
+            // or the fault oracle fails the escalation, in which case the
+            // fallback chain runs downhill to the local answer or default.
+            let wants_global = local
+                .as_ref()
+                .is_none_or(|lp| self.config.routing.escalates(lp.exec_secs, lp.log_std()));
+            let escalate =
+                wants_global && self.global.is_some() && !self.fault_global_unavailable();
+            let p = match (escalate, &self.global, plans.get(i), local) {
+                (true, Some(global), Some(plan), _) => {
+                    self.stats.global += 1;
+                    Prediction::point(global.predict(plan, sys), PredictionSource::Global)
+                }
+                (_, _, _, Some(lp)) => {
+                    self.stats.local += 1;
+                    Prediction {
+                        exec_secs: lp.exec_secs,
+                        log_variance: Some(lp.total_variance()),
+                        source: PredictionSource::Local,
                     }
                 }
-            }
-            None => {
-                // Cold start (or local failover) for every miss: global when
-                // attached and healthy, default otherwise — the same branch
-                // the scalar path takes.
-                for &i in &miss_idx {
-                    let use_global = self.global.is_some() && !self.fault_global_unavailable();
-                    let p = match (use_global, &self.global, plans.get(i)) {
-                        (true, Some(global), Some(plan)) => {
-                            self.stats.global += 1;
-                            Prediction::point(global.predict(plan, sys), PredictionSource::Global)
-                        }
-                        _ => {
-                            self.stats.default += 1;
-                            Prediction::point(DEFAULT_PREDICTION_SECS, PredictionSource::Default)
-                        }
-                    };
-                    if let Some(slot) = results.get_mut(i) {
-                        *slot = Some(p);
-                    }
+                _ => {
+                    self.stats.default += 1;
+                    COLD_DEFAULT
                 }
+            };
+            if let Some(slot) = answers.get_mut(i) {
+                *slot = p;
             }
         }
-        results
-            .into_iter()
-            .map(|p| {
-                // Every slot is filled by the hit or miss pass; the default
-                // here is unreachable but keeps this path panic-free.
-                p.unwrap_or_else(|| {
-                    Prediction::point(DEFAULT_PREDICTION_SECS, PredictionSource::Default)
-                })
-            })
-            .collect()
     }
 }
 
 impl ExecTimePredictor for StagePredictor {
     fn predict(&mut self, plan: &PhysicalPlan, sys: &SystemContext) -> Prediction {
-        // The plan's vector is extracted once: hashed for the cache key,
-        // then reused as the local model's input on a miss.
-        let plan_features = plan_feature_vector(plan).0;
-        let key = ExecTimeCache::key_of_features(&plan_features);
-        // Stage 1: exact-match cache.
-        if let Some(secs) = self.cache.lookup(key) {
-            self.stats.cache += 1;
-            return Prediction::point(secs, PredictionSource::Cache);
-        }
-        // Stage 2: local model (bypassed entirely when the fault oracle
-        // declares the tier down — the failover is counted in the consult).
-        let features = self.local_features(plan_features, sys);
-        let local_answer = if self.fault_local_unavailable() {
-            None
-        } else {
-            self.local.predict(&features)
-        };
-        match local_answer {
-            Some(lp) => {
-                let short = lp.exec_secs < self.config.routing.short_circuit_secs;
-                let confident = lp.log_std() <= self.config.routing.confident_log_std;
-                // Stage 3: long + uncertain -> global model, unless the
-                // fault oracle fails the escalation (then the local answer
-                // stands — the fallback chain runs downhill).
-                let escalate = !short
-                    && !confident
-                    && self.global.is_some()
-                    && !self.fault_global_unavailable();
-                if escalate {
-                    if let Some(global) = &self.global {
-                        self.stats.global += 1;
-                        return Prediction::point(
-                            global.predict(plan, sys),
-                            PredictionSource::Global,
-                        );
-                    }
-                }
-                self.stats.local += 1;
-                Prediction {
-                    exec_secs: lp.exec_secs,
-                    log_variance: Some(lp.total_variance()),
-                    source: PredictionSource::Local,
-                }
-            }
-            None => {
-                // Cold start (or local failover): prefer the transferable
-                // global model when available and healthy (a key Stage
-                // advantage on new instances).
-                let use_global = self.global.is_some() && !self.fault_global_unavailable();
-                if use_global {
-                    if let Some(global) = &self.global {
-                        self.stats.global += 1;
-                        return Prediction::point(
-                            global.predict(plan, sys),
-                            PredictionSource::Global,
-                        );
-                    }
-                }
-                self.stats.default += 1;
-                Prediction::point(DEFAULT_PREDICTION_SECS, PredictionSource::Default)
-            }
-        }
+        // A batch of one through the same ladder, answered into a stack
+        // slot: a cache hit then allocates nothing beyond the features.
+        let mut answer = [COLD_DEFAULT];
+        self.route(std::slice::from_ref(plan), sys, &mut answer);
+        let [p] = answer;
+        p
     }
 
     fn observe(&mut self, plan: &PhysicalPlan, sys: &SystemContext, actual_secs: f64) {
@@ -851,6 +801,17 @@ mod tests {
         assert!(p.exec_secs.is_finite() && p.exec_secs >= 0.0);
         // The flag must be off by default (published Stage semantics).
         assert!(!StageConfig::default().env_features);
+    }
+
+    #[test]
+    fn escalation_needs_long_and_uncertain() {
+        let r = RoutingConfig::default();
+        assert!(!r.escalates(1.0, 3.0), "short");
+        assert!(!r.escalates(50.0, 0.5), "confident");
+        assert!(!r.escalates(50.0, 1.0), "at the confidence bound");
+        assert!(r.escalates(50.0, 3.0));
+        assert!(r.escalates(5.0, 1.5), "at the short-circuit bound");
+        assert!(r.escalates(f64::NAN, 3.0) && r.escalates(50.0, f64::NAN));
     }
 
     #[test]

@@ -116,8 +116,13 @@ impl BayesianEnsemble {
     /// bit-identical to calling [`BayesianEnsemble::predict`] per row. Each
     /// member runs its tree-major batched path over the whole batch
     /// (member-major), then Eqs. 1–2 combine per row in member order,
-    /// matching the scalar summation sequence exactly.
+    /// matching the scalar summation sequence exactly. A single row takes
+    /// the scalar walk: with nothing to run in lockstep, the batch path's
+    /// per-tree accumulator vectors are pure overhead.
     pub fn predict_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<EnsemblePrediction> {
+        if let [row] = rows {
+            return vec![self.predict(row.as_ref())];
+        }
         let k = self.members.len() as f64;
         let per_member: Vec<Vec<(f64, f64)>> = self
             .members

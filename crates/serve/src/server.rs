@@ -49,12 +49,12 @@
 use crate::evloop::{poll_fds, PollFd, Waker, POLLIN, POLLOUT};
 use crate::protocol::{write_message_buffered, BatchPrediction, Request, Response};
 use crate::queue::BoundedQueue;
-use crate::registry::ShardRegistry;
+use crate::registry::{Shard, ShardRegistry};
 use crate::wire::{self, Unframed, HANDSHAKE, MAX_FRAME_LEN};
 use stage_chaos::{ChaosStream, FaultPlan};
 use stage_core::persist::PersistFaults;
 use stage_core::sync::{self, OrderedMutex, RANK_SESSION};
-use stage_core::{ComponentFaults, StageConfig, SystemContext};
+use stage_core::{ComponentFaults, Prediction, StageConfig, SystemContext};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -392,14 +392,7 @@ fn serve_shard_verb(shared: &Shared, request: Request, arrived: Instant) -> Resp
                 .registry
                 .with_shard_write(instance, |shard| {
                     let p = shard.predict(&plan, &sys);
-                    // Conformal interval from the shard's drift sentinel:
-                    // width tracks the observed residual distribution (and
-                    // widens while degraded tiers answer) instead of the
-                    // fixed Gaussian 1.96σ the pre-drift server promised.
-                    let (interval_lo, interval_hi) = match shard.calibrated_interval(&p) {
-                        Some((lo, hi)) => (Some(lo), Some(hi)),
-                        None => (None, None),
-                    };
+                    let (interval_lo, interval_hi) = interval_bounds(shard, &p);
                     Response::Predicted {
                         exec_secs: p.exec_secs,
                         interval_lo,
@@ -425,10 +418,7 @@ fn serve_shard_verb(shared: &Shared, request: Request, arrived: Instant) -> Resp
                         .predict_batch(&plans, &sys)
                         .into_iter()
                         .map(|p| {
-                            let (interval_lo, interval_hi) = match shard.calibrated_interval(&p) {
-                                Some((lo, hi)) => (Some(lo), Some(hi)),
-                                None => (None, None),
-                            };
+                            let (interval_lo, interval_hi) = interval_bounds(shard, &p);
                             BatchPrediction {
                                 exec_secs: p.exec_secs,
                                 interval_lo,
@@ -465,6 +455,14 @@ fn serve_shard_verb(shared: &Shared, request: Request, arrived: Instant) -> Resp
             message: "internal: non-shard request routed to shard path".to_string(),
         },
     }
+}
+
+/// The wire's interval bounds for `p`: the conformal interval from the
+/// shard's drift sentinel, whose width tracks the observed residuals and
+/// widens while degraded tiers answer; `(None, None)` without variance.
+fn interval_bounds(shard: &mut Shard, p: &Prediction) -> (Option<f64>, Option<f64>) {
+    let interval = shard.calibrated_interval(p);
+    (interval.map(|(lo, _)| lo), interval.map(|(_, hi)| hi))
 }
 
 /// Dispatches one decoded request. Returns the reply and whether the

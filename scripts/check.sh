@@ -37,6 +37,9 @@ cargo test -q --workspace
 # `cargo test` never builds the release code of the branch-free lockstep
 # tree walk, and float identity has to hold for that code.
 cargo test -q --release -p stage-gbdt --test batch_identity
+# The routing golden digest under the same optimiser: scalar predictions
+# are batches of one, whose single row takes the scalar ensemble walk.
+cargo test -q --release --test routing_golden
 
 # Serving smoke test: boot stage-serve on an ephemeral port, run one
 # predict→observe→predict round-trip, drain, and stop. Bounded so a hung
